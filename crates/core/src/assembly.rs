@@ -1,18 +1,25 @@
 //! Assembly of local partial matches into crossing matches.
 //!
-//! Two implementations:
+//! Three implementations:
 //!
 //! * [`assemble_lec`] — the LEC feature-based assembly of **Algorithm 3**:
 //!   LPMs are grouped by LECSign (Definition 11), a group join graph is
-//!   built, and a DFS join explores only adjacent groups. The per-group
-//!   join is a **hash join**: each group's members are indexed by their
-//!   binding projected onto the query vertices bound on both sides, so an
-//!   intermediate only ever meets the members it agrees with, instead of
-//!   being tested pairwise against the whole group. Intermediates use a
-//!   compact fixed-width representation (`Joined`) — binding, bitmasks
-//!   and a query-edge-indexed crossing table — so joining is mask math
-//!   plus an `O(|E^Q|)` merge rather than `LocalPartialMatch` cloning
-//!   with quadratic crossing-list scans.
+//!   built, and a DFS join explores only adjacent groups. Every LPM and
+//!   every intermediate is a flat state of the coordinator's shared
+//!   layout (`crate::flat`) — fragment, masks, binding and a
+//!   query-edge-indexed crossing-edge table in one run of words — and
+//!   each DFS level's intermediates live in one arena, deduplicated by a
+//!   slice hash confirmed by equality. The per-group join is a **hash
+//!   join**: a group's members are indexed by a 64-bit hash of their
+//!   binding projected onto the query vertices bound on both sides, and
+//!   that index is built once per (group, bound mask, projection) and
+//!   cached for the whole assembly. Every hit is re-verified by the full
+//!   join condition, so a hash collision can never produce a wrong row.
+//!   The group join graph comes from a `(query edge, data edge)` →
+//!   groups posting map masked by disjoint LECSigns: a superset of the
+//!   feature-level join graph, so the DFS meets every group it must.
+//! * [`IncrementalJoin`] — the same states and join condition, fed one
+//!   LPM at a time by the streaming pipeline.
 //! * [`assemble_basic`] — the partitioning-based join of reference \[18\],
 //!   used by the `gStoreD-Basic` variant in Fig. 9: no LECSign grouping;
 //!   intermediates are joined against every LPM whose pivot-partition
@@ -20,159 +27,150 @@
 //!   pairwise join loop is kept verbatim — it *is* the baseline — but its
 //!   dedup sinks use the same fast deterministic hasher.
 //!
-//! Both return the deduplicated set of complete crossing-match bindings.
+//! All return the deduplicated set of complete crossing-match bindings.
 
 use fxhash::{FxHashMap, FxHashSet};
-use gstored_rdf::{EdgeRef, VertexId};
+use gstored_rdf::{TermId, VertexId};
 use gstored_store::LocalPartialMatch;
 
-use crate::lec::LecFeature;
-use crate::prune::{build_join_graph, FeatureGroup};
+use crate::flat::{
+    hash_words, merge, BitIter, EdgeIds, FlatSet, Layout, BOUND, FRAG, JOINED, SIGN,
+};
+use crate::lec::full_sign;
 
 /// A complete match binding (one data vertex per query vertex).
 pub type MatchBinding = Vec<VertexId>;
 
-/// Compact join-time representation of an LPM or a joined intermediate.
-///
-/// `edges[qe]` is the crossing data edge matched to query edge `qe`
-/// (`None` when unmatched), replacing the `(EdgeRef, usize)` list of
-/// [`LocalPartialMatch`] so that the shared-edge / conflicting-edge checks
-/// of the join condition are single array probes and merging two matches
-/// is one linear pass. `bound_mask` caches which query vertices are bound,
-/// which is what the hash-join keys project on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Joined {
-    /// Source fragment for an original LPM; `usize::MAX` once joined.
-    fragment: usize,
-    binding: Vec<Option<VertexId>>,
-    edges: Vec<Option<EdgeRef>>,
-    internal_mask: u64,
-    bound_mask: u64,
+/// The \[18\] join condition on two assembly states (the checks of
+/// [`LocalPartialMatch::joinable`]), followed by the merge into `out`.
+/// Returns `false` when the pair does not join.
+#[inline]
+fn try_join(layout: &Layout, a: &[u64], b: &[u64], out: &mut [u64]) -> bool {
+    // Condition 1: never two raw LPMs of the same fragment (joined states
+    // carry `JOINED`, so two of them never join each other); condition 4
+    // (Theorem 5): disjoint internal cores; then the shared conditions.
+    if a[FRAG] == b[FRAG] || a[SIGN] & b[SIGN] != 0 || !layout.agree(a, b) {
+        return false;
+    }
+    merge(a, b, out);
+    out[FRAG] = JOINED;
+    true
 }
 
-impl Joined {
-    /// Intern one original LPM. `n_edges` is the width of the query-edge
-    /// table (covers every `qe` appearing in any crossing entry).
-    fn of_lpm(lpm: &LocalPartialMatch, n_edges: usize) -> Joined {
-        let mut edges: Vec<Option<EdgeRef>> = vec![None; n_edges];
-        for &(e, qe) in &lpm.crossing {
-            edges[qe] = Some(e);
+/// A complete state's binding words as a match row.
+fn row(binding: &[u64]) -> MatchBinding {
+    binding.iter().map(|&w| TermId(w)).collect()
+}
+
+/// Hash of a state's binding projected onto the vertices of `common`.
+#[inline]
+fn key_hash(layout: &Layout, s: &[u64], common: u64) -> u64 {
+    let binding = layout.binding(s);
+    hash_words(BitIter(common).map(|v| binding[v]))
+}
+
+/// One LECSign group: its members, and the same members partitioned by
+/// bound mask (the hash join's partitions; in practice a group has one,
+/// but wire-supplied LPMs are not trusted to be that regular).
+struct Group {
+    sign: u64,
+    members: Vec<u32>,
+    by_mask: Vec<(u64, Vec<u32>)>,
+}
+
+/// A hash-join index over one group partition: members sorted by the
+/// hash of their binding projected onto the join's common vertices, and
+/// each hash's run.
+struct JoinIndex {
+    runs: FxHashMap<u64, (u32, u32)>,
+    members: Vec<u32>,
+}
+
+impl JoinIndex {
+    fn build(layout: &Layout, prepared: &FlatSet, members: &[u32], common: u64) -> JoinIndex {
+        let mut keyed: Vec<(u64, u32)> = members
+            .iter()
+            .map(|&m| (key_hash(layout, prepared.get(m), common), m))
+            .collect();
+        keyed.sort_by_key(|&(h, _)| h);
+        let mut runs = FxHashMap::default();
+        let mut at = 0;
+        for run in keyed.chunk_by(|x, y| x.0 == y.0) {
+            runs.insert(run[0].0, (at, at + run.len() as u32));
+            at += run.len() as u32;
         }
-        Joined {
-            fragment: lpm.fragment,
-            binding: lpm.binding.clone(),
-            edges,
-            internal_mask: lpm.internal_mask,
-            bound_mask: bound_mask_of(&lpm.binding),
+        JoinIndex {
+            runs,
+            members: keyed.into_iter().map(|(_, m)| m).collect(),
         }
     }
 
-    /// The \[18\] join condition (the same checks as
-    /// [`LocalPartialMatch::joinable`]) followed by the merge. Returns
-    /// `None` when the pair does not join.
-    fn try_join(&self, other: &Joined) -> Option<Joined> {
-        // Condition 1: never two raw LPMs of the same fragment (joined
-        // intermediates carry `usize::MAX` and may re-enter any fragment).
-        if self.fragment == other.fragment {
-            return None;
+    fn probe(&self, hash: u64) -> &[u32] {
+        match self.runs.get(&hash) {
+            Some(&(lo, hi)) => &self.members[lo as usize..hi as usize],
+            None => &[],
         }
-        // Condition 4 (Theorem 5): internal cores are disjoint.
-        if self.internal_mask & other.internal_mask != 0 {
-            return None;
+    }
+}
+
+/// The state of one [`assemble_lec`] call.
+struct LecAssembly {
+    layout: Layout,
+    /// One state per input LPM, in input order.
+    prepared: FlatSet,
+    groups: Vec<Group>,
+    adj: Vec<Vec<usize>>,
+    /// Hash-join indexes by (group, member bound mask, common mask).
+    indexes: FxHashMap<(u32, u64, u64), JoinIndex>,
+    /// Per DFS depth: that level's intermediates.
+    levels: Vec<FlatSet>,
+    /// Complete bindings (`nv` words each).
+    found: FlatSet,
+    full: u64,
+    joined: Vec<u64>,
+    masks: Vec<u64>,
+}
+
+/// The group join graph of Algorithm 3: groups `g` and `h` are adjacent
+/// when their LECSigns are disjoint and some members of both map the same
+/// query edge to the same crossing data edge. One sorted `(query edge,
+/// data edge)` → groups posting list finds those pairs; the graph is a
+/// superset of the feature-level join graph, whose extra pairs the hash
+/// join's `try_join` rejects. A posting row is an [`EdgeIds`] id, read
+/// straight off the states' edge tables.
+fn group_adjacency(layout: &Layout, prepared: &FlatSet, groups: &[Group]) -> Vec<Vec<usize>> {
+    let mut posted: Vec<(u32, u32)> = Vec::new();
+    for (g, group) in groups.iter().enumerate() {
+        for &mi in &group.members {
+            let s = prepared.get(mi);
+            posted.extend(layout.edges(s).map(|qe| (layout.edge(s, qe), g as u32)));
         }
-        // Conditions 2+3: at least one shared crossing edge on the same
-        // query edge, and no query edge matched by different data edges.
-        let mut shared = false;
-        for (qe, be) in other.edges.iter().enumerate() {
-            let Some(be) = be else { continue };
-            match &self.edges[qe] {
-                Some(ae) if ae == be => shared = true,
-                Some(_) => return None,
-                None => {}
+    }
+    posted.sort_unstable();
+    posted.dedup();
+    let mut adj = vec![Vec::new(); groups.len()];
+    for row in posted.chunk_by(|x, y| x.0 == y.0) {
+        for (i, &(_, g)) in row.iter().enumerate() {
+            for &(_, h) in &row[i + 1..] {
+                if groups[g as usize].sign & groups[h as usize].sign == 0 {
+                    adj[g as usize].push(h as usize);
+                    adj[h as usize].push(g as usize);
+                }
             }
         }
-        if !shared {
-            return None;
-        }
-        // Binding agreement on commonly-bound vertices. The hash join
-        // already guarantees this for probe hits; re-checking costs one
-        // word-AND plus a few compares and keeps `try_join` total.
-        let common = self.bound_mask & other.bound_mask;
-        let mut bits = common;
-        while bits != 0 {
-            let v = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if self.binding[v] != other.binding[v] {
-                return None;
-            }
-        }
-        let binding: Vec<Option<VertexId>> = self
-            .binding
-            .iter()
-            .zip(&other.binding)
-            .map(|(a, b)| a.or(*b))
-            .collect();
-        let edges: Vec<Option<EdgeRef>> = self
-            .edges
-            .iter()
-            .zip(&other.edges)
-            .map(|(a, b)| a.or(*b))
-            .collect();
-        Some(Joined {
-            fragment: usize::MAX,
-            binding,
-            edges,
-            internal_mask: self.internal_mask | other.internal_mask,
-            bound_mask: self.bound_mask | other.bound_mask,
-        })
     }
-
-    fn is_complete(&self, vertex_count: usize) -> bool {
-        self.internal_mask == full_mask(vertex_count)
+    for list in &mut adj {
+        list.sort_unstable();
+        list.dedup();
     }
-
-    fn complete_binding(&self) -> Option<MatchBinding> {
-        self.binding.iter().copied().collect()
-    }
-}
-
-#[inline]
-fn full_mask(vertex_count: usize) -> u64 {
-    if vertex_count >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << vertex_count) - 1
-    }
-}
-
-#[inline]
-fn bound_mask_of(binding: &[Option<VertexId>]) -> u64 {
-    let mut mask = 0u64;
-    for (i, b) in binding.iter().take(64).enumerate() {
-        if b.is_some() {
-            mask |= 1 << i;
-        }
-    }
-    mask
-}
-
-/// Project a binding onto the query vertices of `mask` (all bound).
-#[inline]
-fn project(binding: &[Option<VertexId>], mask: u64) -> Vec<VertexId> {
-    let mut key = Vec::with_capacity(mask.count_ones() as usize);
-    let mut bits = mask;
-    while bits != 0 {
-        let v = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        key.push(binding[v].expect("projection vertex is bound"));
-    }
-    key
+    adj
 }
 
 /// Algorithm 3: LEC feature-based assembly.
 ///
-/// `query_edges[qe] = (from_vertex, to_vertex)` is needed for the
-/// feature-level joinability checks on the group join graph.
+/// `query_edges[qe] = (from_vertex, to_vertex)`; its length (or the
+/// largest query edge any LPM maps, if larger) sizes the crossing-edge
+/// tables.
 #[allow(clippy::while_let_loop)] // the loop body mutates `alive`, not just the scrutinee
 pub fn assemble_lec(
     lpms: &[LocalPartialMatch],
@@ -182,84 +180,77 @@ pub fn assemble_lec(
     if lpms.is_empty() {
         return Vec::new();
     }
-    // The bound/internal bitmasks (and LECSigns generally) are 64-bit;
-    // beyond that the masked agreement checks would silently skip
-    // vertices, so fail loudly like the LPM enumerator does.
-    assert!(n_query_vertices <= 64, "LECSign masks are 64-bit");
-    // Width of the query-edge tables: every `qe` any LPM mentions.
     let n_edges = lpms
         .iter()
         .flat_map(|m| m.crossing.iter().map(|&(_, qe)| qe + 1))
         .max()
         .unwrap_or(0)
         .max(query_edges.len());
-    let prepared: Vec<Joined> = lpms.iter().map(|m| Joined::of_lpm(m, n_edges)).collect();
+    // The bound/internal bitmasks (and LECSigns generally) are 64-bit;
+    // the layout fails loudly beyond that, like the LPM enumerator does.
+    let layout = Layout::new(n_query_vertices, n_edges);
+    let mut ids = EdgeIds::default();
+    let mut prepared = FlatSet::new(layout.width);
+    let mut scratch = vec![0u64; layout.width];
 
     // Definition 11: group LPMs by LECSign — hash-mapped, no linear scan.
     let mut group_of_sign: FxHashMap<u64, usize> = FxHashMap::default();
-    let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
+    let mut groups: Vec<Group> = Vec::new();
     for (i, lpm) in lpms.iter().enumerate() {
-        let idx = *group_of_sign.entry(lpm.internal_mask).or_insert_with(|| {
-            groups.push((lpm.internal_mask, Vec::new()));
+        layout.encode_lpm(lpm, &mut ids, &mut scratch);
+        prepared.push(&scratch);
+        let g = *group_of_sign.entry(lpm.internal_mask).or_insert_with(|| {
+            groups.push(Group {
+                sign: lpm.internal_mask,
+                members: Vec::new(),
+                by_mask: Vec::new(),
+            });
             groups.len() - 1
         });
-        groups[idx].1.push(i);
-    }
-    // Group join graph via the groups' feature sets: features deduped by
-    // their structural key into one shared list, groups holding indices
-    // into it (the index-based `FeatureGroup` shape `build_join_graph`'s
-    // crossing-edge posting index works over).
-    let mut feature_list: Vec<LecFeature> = Vec::new();
-    let mut feature_groups: Vec<FeatureGroup> = Vec::with_capacity(groups.len());
-    for (sign, members) in &groups {
-        let mut seen: FxHashSet<crate::lec::OwnedFeatureKey> = FxHashSet::default();
-        let mut idxs: Vec<u32> = Vec::new();
-        for &mi in members {
-            let f = LecFeature::of_lpm(&lpms[mi]);
-            if seen.insert((f.fragments, f.mapping.clone(), f.sign)) {
-                idxs.push(feature_list.len() as u32);
-                feature_list.push(f);
-            }
+        let group = &mut groups[g];
+        group.members.push(i as u32);
+        match group.by_mask.iter_mut().find(|(m, _)| *m == scratch[BOUND]) {
+            Some((_, part)) => part.push(i as u32),
+            None => group.by_mask.push((scratch[BOUND], vec![i as u32])),
         }
-        feature_groups.push(FeatureGroup {
-            sign: *sign,
-            members: idxs,
-        });
     }
-    let adj = build_join_graph(&feature_list, &feature_groups, query_edges);
+    let adj = group_adjacency(&layout, &prepared, &groups);
 
-    let mut found: FxHashSet<MatchBinding> = FxHashSet::default();
-    let mut alive = vec![true; groups.len()];
+    let n_groups = groups.len();
+    let mut asm = LecAssembly {
+        layout,
+        prepared,
+        groups,
+        adj,
+        indexes: FxHashMap::default(),
+        levels: vec![FlatSet::new(layout.width)],
+        found: FlatSet::new(n_query_vertices.max(1)),
+        full: full_sign(n_query_vertices),
+        joined: scratch,
+        masks: Vec::new(),
+    };
+    let mut alive = vec![true; n_groups];
+    let mut visited_set = vec![false; n_groups];
     loop {
-        let Some(vmin) = (0..groups.len())
+        let Some(vmin) = (0..n_groups)
             .filter(|&v| alive[v])
-            .min_by_key(|&v| groups[v].1.len())
+            .min_by_key(|&v| asm.groups[v].members.len())
         else {
             break;
         };
-        let seed: Vec<Joined> = groups[vmin]
-            .1
-            .iter()
-            .map(|&mi| prepared[mi].clone())
-            .collect();
-        let mut visited_set = vec![false; groups.len()];
+        let seed = &mut asm.levels[0];
+        seed.clear();
+        for &mi in &asm.groups[vmin].members {
+            seed.push(asm.prepared.get(mi));
+        }
         visited_set[vmin] = true;
-        com_par_join(
-            &mut vec![vmin],
-            &mut visited_set,
-            seed,
-            &groups,
-            &prepared,
-            &adj,
-            &alive,
-            n_query_vertices,
-            &mut found,
-        );
+        com_par_join(&mut asm, &mut vec![vmin], &mut visited_set, 0, &alive);
+        visited_set[vmin] = false;
         alive[vmin] = false;
         loop {
             let mut removed = false;
-            for v in 0..groups.len() {
-                if alive[v] && !adj[v].iter().any(|&u| alive[u]) {
+            for v in 0..n_groups {
+                if alive[v] && !asm.adj[v].iter().any(|&u| alive[u]) {
                     alive[v] = false;
                     removed = true;
                 }
@@ -269,129 +260,96 @@ pub fn assemble_lec(
             }
         }
     }
-    let mut out: Vec<MatchBinding> = found.into_iter().collect();
+    let mut out: Vec<MatchBinding> = asm.found.iter().map(row).collect();
     out.sort_unstable();
     out
 }
 
-/// The recursive `ComParJoin` of Algorithm 3, with the per-group pairwise
-/// loop replaced by [`hash_join`].
-#[allow(clippy::too_many_arguments)]
+/// The recursive `ComParJoin` of Algorithm 3 over `asm.levels[depth]`,
+/// with the per-group pairwise loop replaced by [`hash_join`].
 fn com_par_join(
+    asm: &mut LecAssembly,
     visited: &mut Vec<usize>,
-    visited_set: &mut Vec<bool>,
-    current: Vec<Joined>,
-    groups: &[(u64, Vec<usize>)],
-    prepared: &[Joined],
-    adj: &[Vec<usize>],
+    visited_set: &mut [bool],
+    depth: usize,
     alive: &[bool],
-    n_query_vertices: usize,
-    found: &mut FxHashSet<MatchBinding>,
 ) {
-    if current.is_empty() {
-        return;
-    }
     let mut frontier: Vec<usize> = visited
         .iter()
-        .flat_map(|&v| adj[v].iter().copied())
+        .flat_map(|&v| asm.adj[v].iter().copied())
         .filter(|&u| alive[u] && !visited_set[u])
         .collect();
     frontier.sort_unstable();
     frontier.dedup();
     // Smallest-cardinality group first: joining against the group with
-    // the fewest members keeps the intermediate `current` sets small
-    // before the bigger groups multiply them. The result set is
-    // order-independent (pinned against the frozen insertion-order
-    // assembly by the planner-equivalence proptests); only the work to
-    // reach it changes. Index tiebreak keeps the walk deterministic.
-    frontier.sort_by_key(|&u| (groups[u].1.len(), u));
+    // the fewest members keeps the intermediate sets small before the
+    // bigger groups multiply them. The result set is order-independent
+    // (pinned against the frozen insertion-order assembly by the
+    // planner-equivalence proptests); only the work to reach it changes.
+    // Index tiebreak keeps the walk deterministic.
+    frontier.sort_by_key(|&u| (asm.groups[u].members.len(), u));
 
     for v in frontier {
-        let next = hash_join(&current, &groups[v].1, prepared, n_query_vertices, found);
-        if !next.is_empty() {
+        if hash_join(asm, depth, v) {
             visited.push(v);
             visited_set[v] = true;
-            com_par_join(
-                visited,
-                visited_set,
-                next,
-                groups,
-                prepared,
-                adj,
-                alive,
-                n_query_vertices,
-                found,
-            );
-            let popped = visited.pop().expect("pushed above");
-            visited_set[popped] = false;
+            com_par_join(asm, visited, visited_set, depth + 1, alive);
+            visited.pop();
+            visited_set[v] = false;
         }
     }
 }
 
-/// Join every intermediate in `current` with group `members`, hash-joined
-/// on the shared-query-vertex binding signature: members are indexed by
-/// their binding projected onto `current_bound ∩ member_bound`, so each
-/// probe meets only members that agree on every commonly-bound vertex.
-/// Complete results land in `found`; incomplete ones are deduplicated
-/// (fast hasher, no quadratic `contains`) and returned as the next level.
-fn hash_join(
-    current: &[Joined],
-    members: &[usize],
-    prepared: &[Joined],
-    n_query_vertices: usize,
-    found: &mut FxHashSet<MatchBinding>,
-) -> Vec<Joined> {
-    // Both sides are partitioned by bound mask. In practice each has
-    // exactly one (a group's bound set is determined by its LECSign and
-    // the query; `current` is one join level), but wire-supplied LPMs are
-    // not trusted to be that regular.
-    let mut member_masks: Vec<(u64, Vec<usize>)> = Vec::new();
-    for &mi in members {
-        let mask = prepared[mi].bound_mask;
-        match member_masks.iter_mut().find(|(m, _)| *m == mask) {
-            Some((_, v)) => v.push(mi),
-            None => member_masks.push((mask, vec![mi])),
-        }
+/// Join every intermediate of level `depth` with group `v` into level
+/// `depth + 1`, hash-joined on the shared-query-vertex binding: each
+/// probe meets only the members whose projected binding hashes alike,
+/// and `try_join` re-checks every condition. Complete results land in
+/// `found`; incomplete ones are deduplicated into the next level.
+/// Returns whether the next level is non-empty.
+fn hash_join(asm: &mut LecAssembly, depth: usize, v: usize) -> bool {
+    if asm.levels.len() < depth + 2 {
+        asm.levels.push(FlatSet::new(asm.layout.width));
     }
-    let mut current_masks: Vec<u64> = current.iter().map(|a| a.bound_mask).collect();
-    current_masks.sort_unstable();
-    current_masks.dedup();
-
-    // Incomplete intermediates deduplicate straight into the set — one
-    // allocation per survivor, no quadratic `contains`. Fx iteration
-    // order is deterministic for a given insertion sequence, and `found`
-    // is sorted at the end, so results stay run-to-run stable.
-    let mut next: FxHashSet<Joined> = FxHashSet::default();
-    for (mmask, midxs) in &member_masks {
-        for &cmask in &current_masks {
+    let LecAssembly {
+        layout,
+        prepared,
+        groups,
+        indexes,
+        levels,
+        found,
+        full,
+        joined,
+        masks,
+        ..
+    } = asm;
+    let (lower, upper) = levels.split_at_mut(depth + 1);
+    let (current, next) = (&lower[depth], &mut upper[0]);
+    next.clear();
+    masks.clear();
+    masks.extend(current.iter().map(|s| s[BOUND]));
+    masks.sort_unstable();
+    masks.dedup();
+    for (mmask, members) in &groups[v].by_mask {
+        for &cmask in masks.iter() {
             let common = mmask & cmask;
-            let mut index: FxHashMap<Vec<VertexId>, Vec<usize>> = FxHashMap::default();
-            for &mi in midxs {
-                index
-                    .entry(project(&prepared[mi].binding, common))
-                    .or_default()
-                    .push(mi);
-            }
-            for a in current.iter().filter(|a| a.bound_mask == cmask) {
-                let Some(hits) = index.get(&project(&a.binding, common)) else {
-                    continue;
-                };
-                for &mi in hits {
-                    let Some(joined) = a.try_join(&prepared[mi]) else {
+            let index = indexes
+                .entry((v as u32, *mmask, common))
+                .or_insert_with(|| JoinIndex::build(layout, prepared, members, common));
+            for a in current.iter().filter(|a| a[BOUND] == cmask) {
+                for &mi in index.probe(key_hash(layout, a, common)) {
+                    if !try_join(layout, a, prepared.get(mi), joined) {
                         continue;
-                    };
-                    if joined.is_complete(n_query_vertices) {
-                        if let Some(binding) = joined.complete_binding() {
-                            found.insert(binding);
-                        }
-                    } else {
+                    }
+                    if joined[SIGN] != *full {
                         next.insert(joined);
+                    } else if joined[BOUND] == *full {
+                        found.insert(layout.binding(joined));
                     }
                 }
             }
         }
     }
-    next.into_iter().collect()
+    next.len() > 0
 }
 
 /// Incremental (streaming) crossing-match assembly: the worklist join of
@@ -415,23 +373,31 @@ fn hash_join(
 /// frontier instead of the full survivor set.
 #[derive(Debug)]
 pub struct IncrementalJoin {
-    n_vertices: usize,
-    n_edges: usize,
-    /// Every pushed LPM plus every incomplete joined intermediate.
-    states: Vec<Joined>,
-    /// Hash index over `states`: each bound `(query edge, data edge)`
-    /// pair → indices of the states binding it, in insertion order. Two
-    /// states can only join if they share a crossing edge on the same
-    /// query edge (condition 2), so the union of a state's postings
-    /// lists is a complete candidate set — each push probes only states
-    /// that share an edge with it instead of scanning the whole store.
-    by_edge: FxHashMap<(usize, EdgeRef), Vec<usize>>,
-    /// Dedup for incomplete intermediates (different DFS orders reach the
-    /// same combination; it must be stored and explored once).
-    seen: FxHashSet<Joined>,
+    layout: Layout,
+    full: u64,
+    /// Every pushed LPM plus every incomplete joined intermediate, as
+    /// flat states. Only the intermediates are indexed: different DFS
+    /// orders reach the same combination, which must be stored and
+    /// explored once.
+    states: FlatSet,
+    /// Ids of the `(query edge, data edge)` pairs seen so far.
+    ids: EdgeIds,
+    /// Index over `states`: each bound `(query edge, data edge)` pair's
+    /// id → the head of a chain in `postings` of the states binding it.
+    /// Two states can only join if they share a crossing edge on the
+    /// same query edge (condition 2), so the union of a state's chains
+    /// is a complete candidate set — each push probes only states that
+    /// share an edge with it instead of scanning the whole store.
+    by_edge: Vec<u32>,
+    /// `(state, next posting)` chain links.
+    postings: Vec<(u32, u32)>,
     /// Every complete binding emitted so far (the dedup sink).
-    found: FxHashSet<MatchBinding>,
+    found: FlatSet,
+    candidates: Vec<u32>,
+    joined: Vec<u64>,
 }
+
+const END: u32 = u32::MAX;
 
 impl IncrementalJoin {
     /// A joiner for a query with `n_query_vertices` vertices and
@@ -439,14 +405,17 @@ impl IncrementalJoin {
     /// against the query (binding width, crossing `qe` range) — the
     /// engine's wire checks do this before pushing.
     pub fn new(n_query_vertices: usize, n_query_edges: usize) -> IncrementalJoin {
-        assert!(n_query_vertices <= 64, "LECSign masks are 64-bit");
+        let layout = Layout::new(n_query_vertices, n_query_edges);
         IncrementalJoin {
-            n_vertices: n_query_vertices,
-            n_edges: n_query_edges,
-            states: Vec::new(),
-            by_edge: FxHashMap::default(),
-            seen: FxHashSet::default(),
-            found: FxHashSet::default(),
+            layout,
+            full: full_sign(n_query_vertices),
+            states: FlatSet::new(layout.width),
+            ids: EdgeIds::default(),
+            by_edge: Vec::new(),
+            postings: Vec::new(),
+            found: FlatSet::new(n_query_vertices.max(1)),
+            candidates: Vec::new(),
+            joined: vec![0; layout.width],
         }
     }
 
@@ -454,61 +423,69 @@ impl IncrementalJoin {
     /// become derivable with it (each binding is emitted exactly once
     /// across the joiner's lifetime).
     pub fn push(&mut self, lpm: &LocalPartialMatch) -> Vec<MatchBinding> {
-        let j = Joined::of_lpm(lpm, self.n_edges);
+        let layout = self.layout;
         let mut newly = Vec::new();
-        if j.is_complete(self.n_vertices) {
+        layout.encode_lpm(lpm, &mut self.ids, &mut self.joined);
+        if self.joined[SIGN] == self.full {
             // A degenerate "partial" match that is already complete: emit
             // it; it can never join anything (full mask overlaps all).
-            if let Some(b) = j.complete_binding() {
-                if self.found.insert(b.clone()) {
-                    newly.push(b);
-                }
+            if self.joined[BOUND] == self.full && self.found.insert(layout.binding(&self.joined)).1
+            {
+                newly.push(row(layout.binding(&self.joined)));
             }
             return newly;
         }
-        // Worklist of states containing the new LPM; each joins against
-        // the stored states (none of which contain it). Candidates come
-        // from the edge index, sorted so they are probed in insertion
-        // order — the exact sequence a full scan of `states` would try,
-        // minus the states `try_join` would reject for sharing no edge.
-        let mut work: Vec<Joined> = vec![j];
-        let mut head = 0;
-        let mut candidates: Vec<usize> = Vec::new();
-        while head < work.len() {
-            let cur = work[head].clone();
-            head += 1;
-            candidates.clear();
-            for (qe, be) in cur.edges.iter().enumerate() {
-                let Some(be) = be else { continue };
-                if let Some(postings) = self.by_edge.get(&(qe, *be)) {
-                    candidates.extend_from_slice(postings);
+        // Worklist of states containing the new LPM: the new LPM and the
+        // intermediates appended after it. Each joins against the states
+        // stored by earlier pushes (none of which contain it). Candidates
+        // come from the edge index, sorted so they are probed in
+        // insertion order — the exact sequence a full scan of the store
+        // would try, minus the states `try_join` would reject for sharing
+        // no edge.
+        let start = self.states.push(&self.joined);
+        let mut cur = start;
+        while (cur as usize) < self.states.len() {
+            self.candidates.clear();
+            let s = self.states.get(cur);
+            for qe in layout.edges(s) {
+                let id = layout.edge(s, qe) as usize;
+                let mut link = self.by_edge.get(id).copied().unwrap_or(END);
+                while link != END {
+                    let (state, next) = self.postings[link as usize];
+                    self.candidates.push(state);
+                    link = next;
                 }
             }
-            candidates.sort_unstable();
-            candidates.dedup();
-            for &si in &candidates {
-                let Some(joined) = cur.try_join(&self.states[si]) else {
+            self.candidates.sort_unstable();
+            self.candidates.dedup();
+            for &si in &self.candidates {
+                let joins = try_join(
+                    &layout,
+                    self.states.get(cur),
+                    self.states.get(si),
+                    &mut self.joined,
+                );
+                if !joins {
                     continue;
-                };
-                if joined.is_complete(self.n_vertices) {
-                    if let Some(b) = joined.complete_binding() {
-                        if self.found.insert(b.clone()) {
-                            newly.push(b);
-                        }
-                    }
-                } else if self.seen.insert(joined.clone()) {
-                    work.push(joined);
+                }
+                if self.joined[SIGN] != self.full {
+                    self.states.insert(&self.joined);
+                } else if self.joined[BOUND] == self.full
+                    && self.found.insert(layout.binding(&self.joined)).1
+                {
+                    newly.push(row(layout.binding(&self.joined)));
                 }
             }
+            cur += 1;
         }
-        for state in work {
-            let si = self.states.len();
-            for (qe, be) in state.edges.iter().enumerate() {
-                if let Some(be) = be {
-                    self.by_edge.entry((qe, *be)).or_default().push(si);
-                }
+        self.by_edge.resize(self.ids.len(), END);
+        for si in start..self.states.len() as u32 {
+            let s = self.states.get(si);
+            for qe in layout.edges(s) {
+                let head = &mut self.by_edge[layout.edge(s, qe) as usize];
+                self.postings.push((si, *head));
+                *head = self.postings.len() as u32 - 1;
             }
-            self.states.push(state);
         }
         newly
     }
@@ -577,7 +554,7 @@ pub fn assemble_basic(lpms: &[LocalPartialMatch], n_query_vertices: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gstored_rdf::TermId;
+    use gstored_rdf::EdgeRef;
     use std::collections::HashSet;
 
     fn edge(f: u64, l: u64, t: u64) -> EdgeRef {

@@ -35,26 +35,15 @@ pub type InternedFeatureKey = (u64, u32, u64);
 /// Per-query interner for crossing-edge mappings (Definition 8's `g`).
 ///
 /// A mapping — the sorted `Vec<(EdgeRef, usize)>` a [`LecFeature`]
-/// carries — is interned to a dense `u32` id, so that everything keyed by
-/// mapping identity (feature dedup, join-result dedup, joinability
-/// probes) becomes integer-keyed instead of hashing and comparing vectors.
-/// On top of the identity map the interner supports the two pairwise
-/// mapping operations of Algorithm 2:
-///
-/// * [`MappingInterner::compatible_cached`] — Definition 9 conditions
-///   2/3/5 (shared entry, no query-edge conflict, endpoint-binding
-///   agreement) against a caller-owned memo, for sweeps that re-probe
-///   the same pairs (the join-graph build);
-/// * [`MappingInterner::union`] — the merged mapping of a feature join,
-///   computed (and interned) once per unordered pair.
-///
-/// Ids are only meaningful within the interner that issued them; the
-/// engine builds one per pruning invocation.
+/// carries — is interned to a dense `u32` id, so that Algorithm 1's
+/// feature dedup is keyed by an integer [`InternedFeatureKey`] instead of
+/// hashing and comparing vectors. Ids are only meaningful within the
+/// interner that issued them; [`compute_lec_features`] builds one per
+/// call.
 #[derive(Debug, Default)]
 pub struct MappingInterner {
     ids: FxHashMap<Vec<MappingEntry>, u32>,
     mappings: Vec<Vec<MappingEntry>>,
-    unions: FxHashMap<(u32, u32), u32>,
 }
 
 impl MappingInterner {
@@ -103,72 +92,6 @@ impl MappingInterner {
     pub fn resolve(&self, id: u32) -> &[MappingEntry] {
         &self.mappings[id as usize]
     }
-
-    /// Definition 9 conditions 2/3/5 on a mapping pair — at least one
-    /// shared entry, no query edge mapped to different data edges, and
-    /// agreeing endpoint bindings — memoized in a caller-owned cache.
-    /// Symmetric, so the memo is keyed on the unordered pair; after the
-    /// first evaluation every repeat is a table probe. Takes `&self`, so
-    /// parallel sweeps can share the interner read-only with per-thread
-    /// caches; the cache's useful lifetime is one sweep (the Algorithm 2
-    /// DFS probes almost-always-fresh pairs, where a memo is all insert
-    /// churn and no hits — it runs the merge scan directly).
-    pub fn compatible_cached(
-        &self,
-        a: u32,
-        b: u32,
-        query_edges: &[(usize, usize)],
-        cache: &mut FxHashMap<(u32, u32), bool>,
-    ) -> bool {
-        let key = (a.min(b), a.max(b));
-        if let Some(&hit) = cache.get(&key) {
-            return hit;
-        }
-        let v = mappings_compatible(self.resolve(a), self.resolve(b), query_edges);
-        cache.insert(key, v);
-        v
-    }
-
-    /// Memoized union of two mappings (the merged `g` of a feature join,
-    /// Algorithm 2 line 6): a sorted merge of the two canonical forms,
-    /// interned, computed once per unordered pair.
-    pub fn union(&mut self, a: u32, b: u32) -> u32 {
-        if a == b {
-            return a;
-        }
-        let key = (a.min(b), a.max(b));
-        if let Some(&hit) = self.unions.get(&key) {
-            return hit;
-        }
-        let merged = {
-            let (ma, mb) = (self.resolve(a), self.resolve(b));
-            let mut out: Vec<MappingEntry> = Vec::with_capacity(ma.len() + mb.len());
-            let (mut i, mut j) = (0, 0);
-            while i < ma.len() && j < mb.len() {
-                match key_of(ma[i]).cmp(&key_of(mb[j])) {
-                    std::cmp::Ordering::Less => {
-                        out.push(ma[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        out.push(mb[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        out.push(ma[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            out.extend_from_slice(&ma[i..]);
-            out.extend_from_slice(&mb[j..]);
-            out
-        };
-        let id = self.intern(&merged);
-        self.unions.insert(key, id);
-        id
-    }
 }
 
 #[inline]
@@ -178,7 +101,7 @@ fn key_of(e: MappingEntry) -> (usize, EdgeRef) {
 
 /// The all-ones LECSign over `n` query vertices — the completion mask of
 /// Theorem 4 condition 3, shared by [`LecFeature::is_complete`] and the
-/// Algorithm 2 completion test.
+/// completion tests of Algorithms 2 and 3.
 #[inline]
 pub(crate) fn full_sign(n: usize) -> u64 {
     if n == 64 {
@@ -186,87 +109,6 @@ pub(crate) fn full_sign(n: usize) -> u64 {
     } else {
         (1u64 << n) - 1
     }
-}
-
-/// Definition 9 conditions 2/3/5 on two canonical (sorted-by-query-edge)
-/// mappings: a merge scan finds the query edges present on both sides —
-/// equal data edges establish condition 2, different ones violate
-/// condition 3 — and the endpoint bindings must agree.
-///
-/// Allocation-free (unlike [`LecFeature::joinable`], whose endpoint
-/// check builds a binding `Vec` per call): Algorithm 2 runs this on
-/// every candidate intermediate × group-member pair, where the mappings
-/// are short and a heap allocation per probe dominates the test itself.
-pub(crate) fn mappings_compatible(
-    a: &[MappingEntry],
-    b: &[MappingEntry],
-    query_edges: &[(usize, usize)],
-) -> bool {
-    let mut shared = false;
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].1.cmp(&b[j].1) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let qe = a[i].1;
-                let (ia, jb) = (i, j);
-                while i < a.len() && a[i].1 == qe {
-                    i += 1;
-                }
-                while j < b.len() && b[j].1 == qe {
-                    j += 1;
-                }
-                for &(ea, _) in &a[ia..i] {
-                    for &(eb, _) in &b[jb..j] {
-                        if ea == eb {
-                            shared = true;
-                        } else {
-                            return false; // condition 3
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if !shared {
-        return false;
-    }
-    endpoint_bindings_agree_flat(a, b, query_edges)
-}
-
-/// Allocation-free endpoint agreement: the two mappings imply
-/// `2·(|a| + |b|)` (query vertex, data vertex) bindings; they agree iff
-/// no two bindings name the same query vertex with different data
-/// vertices. Pairwise comparison over the flat implied-binding list —
-/// the same `O(m²)` the incremental linear-scan version pays, without
-/// materializing the binding vector.
-fn endpoint_bindings_agree_flat(
-    a: &[MappingEntry],
-    b: &[MappingEntry],
-    query_edges: &[(usize, usize)],
-) -> bool {
-    let entry = |k: usize| if k < a.len() { a[k] } else { b[k - a.len()] };
-    let binding = |k: usize| {
-        let (e, qe) = entry(k / 2);
-        let (qf, qt) = query_edges[qe];
-        if k.is_multiple_of(2) {
-            (qf, e.from)
-        } else {
-            (qt, e.to)
-        }
-    };
-    let m = 2 * (a.len() + b.len());
-    for i in 0..m {
-        let (qi, di) = binding(i);
-        for j in (i + 1)..m {
-            let (qj, dj) = binding(j);
-            if qi == qj && di != dj {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// A LEC feature (Definition 8), possibly the join of several features.

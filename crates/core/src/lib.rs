@@ -42,6 +42,7 @@ pub mod assembly;
 pub mod candidates;
 pub mod engine;
 pub mod error;
+mod flat;
 pub mod lec;
 pub mod planner;
 pub mod prepared;

@@ -7,37 +7,32 @@
 //! *useful*; the rest — and all their local partial matches — are pruned
 //! before any LPM is shipped.
 //!
-//! This is the engine's Algorithm 2 hot path, engineered around a
-//! per-query [`MappingInterner`]:
+//! Every feature, and every join of features, is a flat state of the
+//! shared coordinator layout (`crate::flat`): fragment bitmask, sign,
+//! the binding its crossing edges imply, and a query-edge-indexed
+//! crossing-edge table. On top of that:
 //!
-//! * every feature's crossing-edge mapping becomes a `u32` id, so the
-//!   structural key `(fragments, mapping id, sign)` is `Copy` and every
-//!   dedup map is integer-keyed;
-//! * pairwise mapping compatibility (Definition 9 conditions 2/3/5) is
-//!   an allocation-free merge scan, memoized per unordered id pair where
-//!   re-probes actually happen (the join-graph build); mapping unions
-//!   are computed and interned once per pair;
-//! * [`build_join_graph`] replaces the all-pairs `O(G²·|Fi|·|Fj|)` sweep
-//!   with a crossing-edge index: candidate group pairs come from shared
-//!   `(data edge, query edge)` postings (condition 2 is *necessary*), so
-//!   only groups that can possibly join pay a probe, and large posting
-//!   sweeps run on scoped threads;
+//! * states are interned in one arena per pruning call, so a joined
+//!   feature is the word-wise OR of its two parents, and its identity
+//!   is a `u32`;
+//! * one posting index, `(query edge, data edge)` → the `(group,
+//!   feature)` pairs mapping it, serves both the join graph and the DFS:
+//!   Definition 9 condition 2 (a shared entry) is necessary, so only
+//!   features that share an entry are ever compared;
+//! * [`build_join_graph`] probes each posting row's group pairs,
+//!   stopping at the first joinable witness per pair;
 //! * [`prune_features`]' recursive `ComLECFJoin` tracks the visited
-//!   group set as a `u64` bitmask, drives each join level off per-group
-//!   posting indexes (an intermediate only meets members it shares a
-//!   crossing edge with, never the full `current × members` product),
-//!   deduplicates join results through an interned-key hash map, records
-//!   lineage as a join-derivation DAG of `(a, b)` back-pointers (one
-//!   backward reachability pass at the end replaces the per-join
-//!   `sources` vector cloning/merging), and memoizes explored
-//!   `(visited set, current features)` states so structurally identical
-//!   subtrees — the same frontier reached through a different join
-//!   order — expand exactly once.
+//!   group set as a `u64` bitmask, records lineage as a join-derivation
+//!   DAG of `(a, b)` back-pointers in flat arrays (one backward
+//!   reachability pass at the end marks the useful inputs), and memoizes
+//!   explored `(visited set, current states)` keys in a flat arena, so
+//!   structurally identical subtrees — the same frontier reached through
+//!   a different join order — expand exactly once.
 
 use fxhash::{FxHashMap, FxHashSet};
-use gstored_rdf::EdgeRef;
 
-use crate::lec::{mappings_compatible, InternedFeatureKey, LecFeature, MappingInterner};
+use crate::flat::{hash_words, merge, EdgeIds, FlatSet, Layout, SliceIndex, FRAG, SIGN};
+use crate::lec::LecFeature;
 
 /// One LEC feature group (Definition 10): all features sharing a LECSign.
 /// Groups index into the shared feature slice they were built over
@@ -70,277 +65,181 @@ pub fn group_by_sign(features: &[LecFeature]) -> Vec<FeatureGroup> {
     groups
 }
 
+/// `state_of` entry of a feature that can never join (see
+/// [`Layout::encode_feature`]): it is neither posted nor probed.
+const NEVER_JOINS: u32 = u32::MAX;
+
+/// The features of one pruning call as flat states, plus the posting
+/// index over their crossing-edge entries.
+struct Encoded {
+    layout: Layout,
+    /// Interned states: structurally equal features share one id.
+    states: FlatSet,
+    /// Each input feature's state id (or [`NEVER_JOINS`]).
+    state_of: Vec<u32>,
+    postings: Postings,
+}
+
+/// `(query edge, data edge)` → the `(group, feature)` pairs whose state
+/// maps that entry, stored as one run per entry sorted by group then
+/// feature. A row is the entry's [`EdgeIds`] id, which every state's
+/// edge table already holds.
+struct Postings {
+    span: Vec<(u32, u32)>,
+    posted: Vec<(u32, u32)>,
+}
+
+impl Postings {
+    fn run(&self, row: u32) -> &[(u32, u32)] {
+        let (lo, hi) = self.span[row as usize];
+        &self.posted[lo as usize..hi as usize]
+    }
+
+    /// The members of `group` in `row`.
+    fn group_run(&self, row: u32, group: u32) -> &[(u32, u32)] {
+        let run = self.run(row);
+        let lo = run.partition_point(|&(g, _)| g < group);
+        let hi = lo + run[lo..].partition_point(|&(g, _)| g == group);
+        &run[lo..hi]
+    }
+}
+
+impl Encoded {
+    fn new(
+        features: &[LecFeature],
+        groups: &[FeatureGroup],
+        query_edges: &[(usize, usize)],
+    ) -> Encoded {
+        // Only crossing-edge endpoints are ever bound in a feature state.
+        let nv = query_edges
+            .iter()
+            .map(|&(f, t)| f.max(t) + 1)
+            .max()
+            .unwrap_or(0);
+        let layout = Layout::new(nv, query_edges.len());
+        let mut ids = EdgeIds::default();
+        let mut states = FlatSet::new(layout.width);
+        let mut scratch = vec![0u64; layout.width];
+        let state_of: Vec<u32> = features
+            .iter()
+            .map(|f| {
+                if layout.encode_feature(f, query_edges, &mut ids, &mut scratch) {
+                    states.insert(&scratch).0
+                } else {
+                    NEVER_JOINS
+                }
+            })
+            .collect();
+
+        // Groups ascending, members ascending: each row's pairs arrive
+        // already sorted, so a stable counting sort by row suffices.
+        let mut entries: Vec<(u32, u32, u32)> = Vec::new();
+        for (gi, g) in groups.iter().enumerate() {
+            for &fi in &g.members {
+                let sid = state_of[fi as usize];
+                if sid == NEVER_JOINS {
+                    continue;
+                }
+                let s = states.get(sid);
+                for qe in layout.edges(s) {
+                    entries.push((layout.edge(s, qe), gi as u32, fi));
+                }
+            }
+        }
+        let mut span = vec![(0u32, 0u32); ids.len()];
+        for &(row, _, _) in &entries {
+            span[row as usize].1 += 1;
+        }
+        let mut at = 0;
+        for s in &mut span {
+            let len = s.1;
+            *s = (at, at);
+            at += len;
+        }
+        let mut posted = vec![(0u32, 0u32); entries.len()];
+        for &(row, g, f) in &entries {
+            let s = &mut span[row as usize];
+            posted[s.1 as usize] = (g, f);
+            s.1 += 1;
+        }
+        Encoded {
+            layout,
+            states,
+            state_of,
+            postings: Postings { span, posted },
+        }
+    }
+
+    /// Definition 9 for two input features (the disjoint-sign test is
+    /// applied per group pair by the caller).
+    fn joinable(&self, fa: u32, fb: u32) -> bool {
+        let a = self.states.get(self.state_of[fa as usize]);
+        let b = self.states.get(self.state_of[fb as usize]);
+        // Condition 1: not two originals of the same fragment.
+        !(a[FRAG] == b[FRAG] && a[FRAG].count_ones() == 1) && self.layout.agree(a, b)
+    }
+
+    /// The join graph: `adj[i]` lists the groups with at least one
+    /// joinable feature pair with group `i` (sorted, deduplicated). Only
+    /// pairs that share a posting row are probed; a row's members are
+    /// sorted by group, so a group pair already known adjacent skips its
+    /// whole block, and an undecided pair stops at its first witness.
+    fn join_graph(&self, groups: &[FeatureGroup]) -> Vec<Vec<usize>> {
+        let mut adjacent: FxHashSet<(u32, u32)> = FxHashSet::default();
+        let mut buckets: Vec<&[(u32, u32)]> = Vec::new();
+        for row in 0..self.postings.span.len() as u32 {
+            let run = self.postings.run(row);
+            if run.len() < 2 {
+                continue;
+            }
+            buckets.clear();
+            buckets.extend(run.chunk_by(|x, y| x.0 == y.0));
+            for (x, fa_list) in buckets.iter().enumerate() {
+                let ga = fa_list[0].0;
+                for fb_list in &buckets[x + 1..] {
+                    let gb = fb_list[0].0;
+                    // Theorem 5: joinable groups have disjoint signs.
+                    if groups[ga as usize].sign & groups[gb as usize].sign != 0
+                        || adjacent.contains(&(ga, gb))
+                    {
+                        continue;
+                    }
+                    let witness = fa_list
+                        .iter()
+                        .any(|&(_, fa)| fb_list.iter().any(|&(_, fb)| self.joinable(fa, fb)));
+                    if witness {
+                        adjacent.insert((ga, gb));
+                    }
+                }
+            }
+        }
+        let mut adj = vec![Vec::new(); groups.len()];
+        for &(a, b) in &adjacent {
+            adj[a as usize].push(b as usize);
+            adj[b as usize].push(a as usize);
+        }
+        for list in &mut adj {
+            list.sort_unstable();
+        }
+        adj
+    }
+}
+
 /// The join graph over feature groups: `adj[i]` lists groups with at
 /// least one joinable feature pair with group `i` (sorted, deduplicated).
 ///
 /// Candidate pairs come from a crossing-edge index — Definition 9
 /// condition 2 requires a shared `(data edge, query edge)` entry, so two
-/// groups can only be adjacent if some posting list contains features of
-/// both — then pay the disjoint-sign mask test and a memoized
+/// groups can only be adjacent if some posting row contains features of
+/// both — then pay the disjoint-sign mask test and a flat-state
 /// compatibility probe. Groups that share no crossing edge are never
-/// compared at all, which is what makes the build sublinear in the group
-/// pair count on real workloads.
+/// compared at all.
 pub fn build_join_graph(
     features: &[LecFeature],
     groups: &[FeatureGroup],
     query_edges: &[(usize, usize)],
 ) -> Vec<Vec<usize>> {
-    let mut interner = MappingInterner::new();
-    let mapping_ids: Vec<u32> = features
-        .iter()
-        .map(|f| interner.intern(&f.mapping))
-        .collect();
-    build_join_graph_interned(&interner, features, &mapping_ids, groups, query_edges)
-}
-
-/// Above ~this many candidate feature-pair probes the posting sweep is
-/// split across scoped threads (the same pattern the engine uses for its
-/// in-process site workers). Below it, thread spawn/join overhead loses.
-const PARALLEL_PROBE_THRESHOLD: usize = 1 << 14;
-
-/// Below ~this many features the all-pairs group sweep (with memoized,
-/// allocation-free probes and its early exits) beats building the
-/// posting index at all — the index pays off asymptotically, not on
-/// inputs that fit in a few cache lines.
-const SMALL_SWEEP_FEATURES: usize = 256;
-
-/// One posting-sweep thread's yield: the adjacent group pairs it found.
-type SweepResult = FxHashSet<(u32, u32)>;
-
-/// The Definition 9 feature-pair test shared by both join-graph sweep
-/// strategies (condition 1 plus the memoized conditions 2/3/5). The
-/// disjoint-sign test is applied at group level by both callers.
-#[allow(clippy::too_many_arguments)]
-fn pair_joinable(
-    fa: u32,
-    fb: u32,
-    features: &[LecFeature],
-    mapping_ids: &[u32],
-    interner: &MappingInterner,
-    query_edges: &[(usize, usize)],
-    cache: &mut FxHashMap<(u32, u32), bool>,
-) -> bool {
-    let (a, b) = (&features[fa as usize], &features[fb as usize]);
-    // Condition 1: not two originals of the same fragment.
-    !(a.fragments == b.fragments && a.fragments.count_ones() == 1)
-        && interner.compatible_cached(
-            mapping_ids[fa as usize],
-            mapping_ids[fb as usize],
-            query_edges,
-            cache,
-        )
-}
-
-/// [`build_join_graph`] over pre-interned mappings.
-fn build_join_graph_interned(
-    interner: &MappingInterner,
-    features: &[LecFeature],
-    mapping_ids: &[u32],
-    groups: &[FeatureGroup],
-    query_edges: &[(usize, usize)],
-) -> Vec<Vec<usize>> {
-    if features.len() <= SMALL_SWEEP_FEATURES {
-        let mut cache: FxHashMap<(u32, u32), bool> = FxHashMap::default();
-        let mut adj = vec![Vec::new(); groups.len()];
-        for i in 0..groups.len() {
-            for j in (i + 1)..groups.len() {
-                if groups[i].sign & groups[j].sign != 0 {
-                    continue;
-                }
-                let joinable = groups[i].members.iter().any(|&fa| {
-                    groups[j].members.iter().any(|&fb| {
-                        pair_joinable(
-                            fa,
-                            fb,
-                            features,
-                            mapping_ids,
-                            interner,
-                            query_edges,
-                            &mut cache,
-                        )
-                    })
-                });
-                if joinable {
-                    adj[i].push(j);
-                    adj[j].push(i);
-                }
-            }
-        }
-        return adj;
-    }
-
-    let mut group_of = vec![0u32; features.len()];
-    for (gi, g) in groups.iter().enumerate() {
-        for &fi in &g.members {
-            group_of[fi as usize] = gi as u32;
-        }
-    }
-    // Posting lists: (crossing data edge, query edge) -> features whose
-    // mapping contains that entry. Only rows with ≥ 2 features can
-    // witness an adjacency.
-    let mut postings: FxHashMap<(EdgeRef, usize), Vec<u32>> = FxHashMap::default();
-    for (fi, f) in features.iter().enumerate() {
-        for &entry in &f.mapping {
-            let row = postings.entry(entry).or_default();
-            // A degenerate mapping may repeat an entry; post once.
-            if row.last() != Some(&(fi as u32)) {
-                row.push(fi as u32);
-            }
-        }
-    }
-    let mut rows: Vec<Vec<u32>> = postings.into_values().filter(|r| r.len() > 1).collect();
-
-    let probes: usize = rows.iter().map(|r| r.len() * (r.len() - 1) / 2).sum();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    let adjacent: FxHashSet<(u32, u32)> = if probes >= PARALLEL_PROBE_THRESHOLD && threads > 1 {
-        // Deal rows round-robin by descending size for balance; each
-        // thread probes with its own compatibility cache against the
-        // shared read-only interner (caches are per-sweep — pairs repeat
-        // across a sweep's rows, not beyond it).
-        rows.sort_unstable_by_key(|r| std::cmp::Reverse(r.len()));
-        let chunks: Vec<Vec<Vec<u32>>> = {
-            let mut chunks: Vec<Vec<Vec<u32>>> = (0..threads).map(|_| Vec::new()).collect();
-            for (i, row) in rows.into_iter().enumerate() {
-                chunks[i % threads].push(row);
-            }
-            chunks
-        };
-        let group_of = &group_of;
-        let results: Vec<SweepResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut cache: FxHashMap<(u32, u32), bool> = FxHashMap::default();
-                        let mut found: FxHashSet<(u32, u32)> = FxHashSet::default();
-                        for row in &chunk {
-                            probe_row(
-                                row,
-                                features,
-                                groups,
-                                group_of,
-                                mapping_ids,
-                                interner,
-                                query_edges,
-                                &mut cache,
-                                &mut found,
-                            );
-                        }
-                        found
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("posting sweep thread panicked"))
-                .collect()
-        });
-        let mut adjacent = FxHashSet::default();
-        for found in results {
-            adjacent.extend(found);
-        }
-        adjacent
-    } else {
-        let mut cache: FxHashMap<(u32, u32), bool> = FxHashMap::default();
-        let mut adjacent = FxHashSet::default();
-        for row in &rows {
-            probe_row(
-                row,
-                features,
-                groups,
-                &group_of,
-                mapping_ids,
-                interner,
-                query_edges,
-                &mut cache,
-                &mut adjacent,
-            );
-        }
-        adjacent
-    };
-
-    let mut adj = vec![Vec::new(); groups.len()];
-    for &(a, b) in &adjacent {
-        adj[a as usize].push(b as usize);
-        adj[b as usize].push(a as usize);
-    }
-    for list in &mut adj {
-        list.sort_unstable();
-        list.dedup();
-    }
-    adj
-}
-
-/// Probe one posting row for adjacent group pairs. Every pair in the row
-/// already shares an entry (condition 2). The row is bucketed by group
-/// first, so a group pair that is already adjacent skips its whole
-/// feature-pair block and same-group members cost nothing; within an
-/// undecided pair the probe loop exits on the first joinable witness,
-/// exactly like the all-pairs sweep's `any()` did.
-#[allow(clippy::too_many_arguments)]
-fn probe_row(
-    row: &[u32],
-    features: &[LecFeature],
-    groups: &[FeatureGroup],
-    group_of: &[u32],
-    mapping_ids: &[u32],
-    interner: &MappingInterner,
-    query_edges: &[(usize, usize)],
-    cache: &mut FxHashMap<(u32, u32), bool>,
-    adjacent: &mut FxHashSet<(u32, u32)>,
-) {
-    // Bucket the row by owning group (rows are typically short and touch
-    // few groups; a sorted run split beats hashing here).
-    let mut by_group: Vec<u32> = row.to_vec();
-    by_group.sort_unstable_by_key(|&fi| group_of[fi as usize]);
-    let mut buckets: Vec<&[u32]> = Vec::new();
-    let mut start = 0;
-    for i in 1..=by_group.len() {
-        if i == by_group.len()
-            || group_of[by_group[i] as usize] != group_of[by_group[start] as usize]
-        {
-            buckets.push(&by_group[start..i]);
-            start = i;
-        }
-    }
-    for (x, fa_list) in buckets.iter().enumerate() {
-        let ga = group_of[fa_list[0] as usize];
-        for fb_list in &buckets[x + 1..] {
-            let gb = group_of[fb_list[0] as usize];
-            let pair = (ga.min(gb), ga.max(gb));
-            if adjacent.contains(&pair) {
-                continue;
-            }
-            // Theorem 5 prefilter: disjoint signs are necessary (group
-            // signs equal member signs, so this is the feature test too).
-            if groups[ga as usize].sign & groups[gb as usize].sign != 0 {
-                continue;
-            }
-            'pair: for &fa in *fa_list {
-                for &fb in *fb_list {
-                    if pair_joinable(fa, fb, features, mapping_ids, interner, query_edges, cache) {
-                        adjacent.insert(pair);
-                        break 'pair;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A joined (or seed) feature during the Algorithm 2 DFS: three words of
-/// structural key plus its node id in the join-derivation DAG. `Copy`,
-/// so DFS levels pass features around without cloning any `Vec` —
-/// lineage is *recorded* as back-pointers, never carried.
-#[derive(Debug, Clone, Copy)]
-struct Feat {
-    fragments: u64,
-    mapping: u32,
-    sign: u64,
-    node: u32,
+    Encoded::new(features, groups, query_edges).join_graph(groups)
 }
 
 /// The DFS stack of visited groups: push/pop order plus O(1) membership,
@@ -387,82 +286,112 @@ impl VisitedStack {
     }
 }
 
-/// Everything the recursive `ComLECFJoin` threads through unchanged.
-///
-/// Instead of carrying source lineages in-flight (the pre-PR4 code
-/// cloned, extended and re-sorted a `sources` vector on every join and
-/// merge), the DFS records a **join-derivation DAG**: every intermediate
-/// is a node whose `node_parents` entries are the `(a, b)` pairs that
-/// derived it (several, when structurally identical joins merge), every
-/// completing join lands in `complete_pairs`, and memo hits add `aliases`
-/// edges tying the skipped instance to the expanded one. One backward
-/// reachability pass at the end marks exactly the input features that
-/// participate in a complete combination.
-struct JoinCtx<'a> {
-    adj: &'a [Vec<usize>],
-    query_edges: &'a [(usize, usize)],
-    interner: &'a mut MappingInterner,
-    /// Per-input-feature `Feat` seeds (node id = feature index).
-    seeds: Vec<Feat>,
-    /// Per-group posting index: `(data edge, query edge)` entry → the
-    /// group's member features whose mapping contains it. Joins probe
-    /// only members sharing an entry with the intermediate (condition 2
-    /// is necessary), never the full `current × members` cross product.
-    group_postings: Vec<FxHashMap<(EdgeRef, usize), Vec<u32>>>,
-    /// All-ones LECSign for the query.
-    full_sign: u64,
-    /// Derivation DAG: nodes `0..features.len()` are the input features
-    /// (no parents); intermediates append as created.
-    node_parents: Vec<Vec<(u32, u32)>>,
-    /// `(a, b)` node pairs whose join reached the all-ones sign.
-    complete_pairs: Vec<(u32, u32)>,
-    /// `(from, to)` edges: `from` useful ⇒ `to` useful (memo-hit
-    /// alignment between structurally identical current sets).
-    aliases: Vec<(u32, u32)>,
-    /// Explored states of the *current* outer iteration (cleared when
-    /// `alive` changes): `(visited mask, sorted structural keys)` → the
-    /// node ids of the expanded instance, aligned with the key order.
-    explored: FxHashMap<(u64, Vec<InternedFeatureKey>), Vec<u32>>,
+/// Explored `(visited mask, current states)` keys of one outer iteration
+/// of Algorithm 2, each with the DAG nodes of the instance that was
+/// expanded, all in flat arenas.
+#[derive(Default)]
+struct Memo {
+    index: SliceIndex,
+    /// `[visited mask, sorted state ids...]` per entry, concatenated.
+    keys: Vec<u64>,
+    /// Per entry: key start, key length, start of its nodes in `nodes`.
+    entries: Vec<(u32, u32, u32)>,
+    /// The expanded instance's node ids, aligned with its sorted key.
+    nodes: Vec<u32>,
+    sorted: Vec<(u32, u32)>,
+    key: Vec<u64>,
 }
 
-impl JoinCtx<'_> {
-    /// Memoize the `(visited, current)` state. Returns `true` when the
-    /// state was already expanded — in that case alias edges from the
-    /// expanded instance's nodes to this one's have been recorded, so the
-    /// skipped subtree's completions still reach this lineage.
-    ///
-    /// Alignment is by sorted structural key; features sharing a key
-    /// behave identically downstream, so any bijection among them is
-    /// sound.
-    fn memo_hit(&mut self, vmask: u64, current: &[Feat]) -> bool {
-        let mut order: Vec<u32> = (0..current.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let f = &current[i as usize];
-            (f.fragments, f.mapping, f.sign, f.node)
+impl Memo {
+    fn clear(&mut self) {
+        self.index.clear();
+        self.keys.clear();
+        self.entries.clear();
+        self.nodes.clear();
+    }
+
+    /// Memoize the `(visited, current)` state. Returns `true` when it
+    /// was already expanded — in that case alias edges from the expanded
+    /// instance's nodes to this one's are recorded, so the skipped
+    /// subtree's completions still reach this lineage. Alignment is by
+    /// sorted state id; nodes sharing a state behave identically
+    /// downstream, so any bijection among them is sound.
+    fn hit(&mut self, vmask: u64, current: &[(u32, u32)], aliases: &mut Vec<(u32, u32)>) -> bool {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(current);
+        self.sorted.sort_unstable();
+        self.key.clear();
+        self.key.push(vmask);
+        self.key
+            .extend(self.sorted.iter().map(|&(s, _)| u64::from(s)));
+        let hash = hash_words(self.key.iter().copied());
+        let id = self.entries.len() as u32;
+        let found = self.index.get_or_insert(hash, id, |e| {
+            let (start, len, _) = self.entries[e as usize];
+            self.keys[start as usize..(start + len) as usize] == self.key[..]
         });
-        let keys: Vec<InternedFeatureKey> = order
-            .iter()
-            .map(|&i| {
-                let f = &current[i as usize];
-                (f.fragments, f.mapping, f.sign)
-            })
-            .collect();
-        let nodes: Vec<u32> = order.iter().map(|&i| current[i as usize].node).collect();
-        match self.explored.entry((vmask, keys)) {
-            std::collections::hash_map::Entry::Occupied(o) => {
-                for (&expanded, &skipped) in o.get().iter().zip(&nodes) {
+        match found {
+            Some(e) => {
+                let start = self.entries[e as usize].2 as usize;
+                for (&expanded, &(_, skipped)) in self.nodes[start..].iter().zip(&self.sorted) {
                     if expanded != skipped {
-                        self.aliases.push((expanded, skipped));
+                        aliases.push((expanded, skipped));
                     }
                 }
                 true
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(nodes);
+            None => {
+                self.entries.push((
+                    self.keys.len() as u32,
+                    self.key.len() as u32,
+                    self.nodes.len() as u32,
+                ));
+                self.keys.extend_from_slice(&self.key);
+                self.nodes.extend(self.sorted.iter().map(|&(_, n)| n));
                 false
             }
         }
     }
+}
+
+const NO_LINK: u32 = u32::MAX;
+
+/// Everything the recursive `ComLECFJoin` threads through.
+///
+/// The DFS records a **join-derivation DAG**: every intermediate is a
+/// node (`0..features.len()` are the input features), each derivation
+/// `(a, b)` of a node is a link in a flat per-node list, every completing
+/// join lands in `complete_pairs`, and memo hits add `aliases` edges
+/// tying the skipped instance to the expanded one. One backward
+/// reachability pass at the end marks exactly the input features that
+/// participate in a complete combination.
+struct Dfs<'a> {
+    enc: Encoded,
+    groups: &'a [FeatureGroup],
+    adj: &'a [Vec<usize>],
+    /// All-ones LECSign for the query.
+    full_sign: u64,
+    /// Per node: the head of its derivation list in `links`.
+    first_link: Vec<u32>,
+    /// `(a, b, next link)` derivations.
+    links: Vec<(u32, u32, u32)>,
+    /// `(a, b)` node pairs whose join reached the all-ones sign.
+    complete_pairs: Vec<(u32, u32)>,
+    /// `(from, to)` edges: `from` useful ⇒ `to` useful.
+    aliases: Vec<(u32, u32)>,
+    memo: Memo,
+    /// Per depth: the `(state, node)` pairs of that level's intermediates.
+    levels: Vec<Vec<(u32, u32)>>,
+    /// Per state id: `(build stamp, position in next)` — the dedup of
+    /// one join level's results.
+    slot: Vec<(u64, u32)>,
+    build: u64,
+    /// Per feature: the last probe that met it (a pair sharing several
+    /// entries surfaces once per entry; it is tested once).
+    met: Vec<u64>,
+    probe: u64,
+    a: Vec<u64>,
+    joined: Vec<u64>,
 }
 
 /// Algorithm 2: returns the set of **original feature ids** (the `sources`
@@ -479,51 +408,26 @@ pub fn prune_features(
         return FxHashSet::default();
     }
     let groups = group_by_sign(features);
-    let mut interner = MappingInterner::new();
-    let mapping_ids: Vec<u32> = features
-        .iter()
-        .map(|f| interner.intern(&f.mapping))
-        .collect();
-    let adj = build_join_graph_interned(&interner, features, &mapping_ids, &groups, query_edges);
-
-    let full_sign = crate::lec::full_sign(n_query_vertices);
-    let seeds: Vec<Feat> = features
-        .iter()
-        .enumerate()
-        .map(|(i, f)| Feat {
-            fragments: f.fragments,
-            mapping: mapping_ids[i],
-            sign: f.sign,
-            node: i as u32,
-        })
-        .collect();
-    let group_postings: Vec<FxHashMap<(EdgeRef, usize), Vec<u32>>> = groups
-        .iter()
-        .map(|g| {
-            let mut p: FxHashMap<(EdgeRef, usize), Vec<u32>> = FxHashMap::default();
-            for &fi in &g.members {
-                for &entry in &features[fi as usize].mapping {
-                    let row = p.entry(entry).or_default();
-                    // Canonical mappings keep duplicates adjacent.
-                    if row.last() != Some(&fi) {
-                        row.push(fi);
-                    }
-                }
-            }
-            p
-        })
-        .collect();
-    let mut ctx = JoinCtx {
+    let enc = Encoded::new(features, &groups, query_edges);
+    let adj = enc.join_graph(&groups);
+    let width = enc.layout.width;
+    let mut dfs = Dfs {
+        enc,
+        groups: &groups,
         adj: &adj,
-        query_edges,
-        interner: &mut interner,
-        seeds,
-        group_postings,
-        full_sign,
-        node_parents: vec![Vec::new(); features.len()],
+        full_sign: crate::lec::full_sign(n_query_vertices),
+        first_link: vec![NO_LINK; features.len()],
+        links: Vec::new(),
         complete_pairs: Vec::new(),
         aliases: Vec::new(),
-        explored: FxHashMap::default(),
+        memo: Memo::default(),
+        levels: Vec::new(),
+        slot: Vec::new(),
+        build: 0,
+        met: vec![0; features.len()],
+        probe: 0,
+        a: vec![0; width],
+        joined: vec![0; width],
     };
 
     // Work on a shrinking vertex set, per the algorithm's outer loop.
@@ -538,15 +442,21 @@ pub fn prune_features(
         };
         // The memo is only valid for a fixed `alive`; the outer loop
         // changes it, so each iteration explores afresh.
-        ctx.explored.clear();
-        let current: Vec<Feat> = groups[vmin]
-            .members
-            .iter()
-            .map(|&fi| ctx.seeds[fi as usize])
-            .collect();
+        dfs.memo.clear();
+        if dfs.levels.is_empty() {
+            dfs.levels.push(Vec::new());
+        }
+        let seeds = &mut dfs.levels[0];
+        seeds.clear();
+        for &fi in &groups[vmin].members {
+            let sid = dfs.enc.state_of[fi as usize];
+            if sid != NEVER_JOINS {
+                seeds.push((sid, fi));
+            }
+        }
         let mut visited = VisitedStack::new(groups.len());
         visited.push(vmin);
-        com_lecf_join(&mut ctx, &mut visited, current, &alive);
+        com_lecf_join(&mut dfs, &mut visited, 0, &alive);
         alive[vmin] = false;
         // Remove outliers: groups with no alive neighbor cannot join
         // anything anymore.
@@ -567,16 +477,12 @@ pub fn prune_features(
     // Backward reachability over the derivation DAG: a node is useful
     // iff it participates in some completing join chain. Completing
     // pairs seed the worklist; usefulness propagates to every recorded
-    // derivation's parents and across alias edges. Input features that
-    // end up marked are exactly the sources the pre-PR4 code accumulated
-    // by carrying lineage vectors through every join.
-    let mut alias_of: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    for &(from, to) in &ctx.aliases {
-        alias_of.entry(from).or_default().push(to);
-    }
-    let mut useful = vec![false; ctx.node_parents.len()];
+    // derivation's parents and across alias edges.
+    let mut aliases = std::mem::take(&mut dfs.aliases);
+    aliases.sort_unstable();
+    let mut useful = vec![false; dfs.first_link.len()];
     let mut work: Vec<u32> = Vec::new();
-    for &(a, b) in &ctx.complete_pairs {
+    for &(a, b) in &dfs.complete_pairs {
         work.push(a);
         work.push(b);
     }
@@ -584,13 +490,20 @@ pub fn prune_features(
         if std::mem::replace(&mut useful[x as usize], true) {
             continue;
         }
-        for &(a, b) in &ctx.node_parents[x as usize] {
+        let mut link = dfs.first_link[x as usize];
+        while link != NO_LINK {
+            let (a, b, next) = dfs.links[link as usize];
             work.push(a);
             work.push(b);
+            link = next;
         }
-        if let Some(dsts) = alias_of.get(&x) {
-            work.extend(dsts.iter().copied());
-        }
+        let from = aliases.partition_point(|&(f, _)| f < x);
+        work.extend(
+            aliases[from..]
+                .iter()
+                .take_while(|&&(f, _)| f == x)
+                .map(|&(_, t)| t),
+        );
     }
     let mut rs = FxHashSet::default();
     for (f, &u) in features.iter().zip(&useful) {
@@ -602,123 +515,106 @@ pub fn prune_features(
 }
 
 /// The recursive `ComLECFJoin` of Algorithm 2. `visited` is the vertex
-/// set `V`; `current` the accumulated joined features for that set.
+/// set `V`; `dfs.levels[depth]` the accumulated joined states for it.
+fn com_lecf_join(dfs: &mut Dfs<'_>, visited: &mut VisitedStack, depth: usize, alive: &[bool]) {
+    let current = std::mem::take(&mut dfs.levels[depth]);
+    let explored = current.is_empty()
+        || visited
+            .key()
+            .is_some_and(|vmask| dfs.memo.hit(vmask, &current, &mut dfs.aliases));
+    if !explored {
+        expand(dfs, visited, depth, &current, alive);
+    }
+    dfs.levels[depth] = current;
+}
+
+/// One level of `ComLECFJoin`: join `current` with every frontier group
+/// and recurse on each non-empty result.
 ///
-/// Per-level work: frontier from the adjacency lists (bitmask/flag
-/// membership, no `Vec::contains`); per (intermediate × group member)
-/// pair a sign mask test, the original-fragment rule and a memoized
-/// mapping-compatibility probe; join results deduplicated through an
-/// integer-keyed map, recording every derivation as DAG back-pointers
-/// (no lineage vectors cloned or merged in-flight). The
-/// `(visited, current)` state memo skips subtrees that an earlier join
-/// order already expanded, wiring alias edges so the skipped instance
-/// inherits the expanded one's completions.
-fn com_lecf_join(
-    ctx: &mut JoinCtx<'_>,
+/// Per (intermediate × frontier group): one sign test; then only the
+/// group's members sharing a posting row with the intermediate are met,
+/// each once, and pay the original-fragment rule plus the flat
+/// [`Layout::agree`] probe. A join result is the OR of the two states,
+/// interned to a state id; a repeat within the level records one more
+/// derivation of the same node.
+fn expand(
+    dfs: &mut Dfs<'_>,
     visited: &mut VisitedStack,
-    current: Vec<Feat>,
+    depth: usize,
+    current: &[(u32, u32)],
     alive: &[bool],
 ) {
-    if current.is_empty() {
-        return;
-    }
-    if let Some(vmask) = visited.key() {
-        if ctx.memo_hit(vmask, &current) {
-            return; // an earlier join order already expanded this state
-        }
-    }
-    // Neighbors of the visited set (alive, not already visited).
     let mut frontier: Vec<usize> = visited
         .order
         .iter()
-        .flat_map(|&v| ctx.adj[v].iter().copied())
+        .flat_map(|&v| dfs.adj[v].iter().copied())
         .filter(|&u| alive[u] && !visited.flags[u])
         .collect();
     frontier.sort_unstable();
     frontier.dedup();
-
-    let mut a_entries: Vec<(EdgeRef, usize)> = Vec::new();
+    if frontier.is_empty() {
+        return;
+    }
+    while dfs.levels.len() < depth + 2 {
+        dfs.levels.push(Vec::new());
+    }
+    let layout = dfs.enc.layout;
     for v in frontier {
-        let mut next: Vec<Feat> = Vec::new();
-        // Dedup by interned structure; a hit records one more derivation
-        // of the same node — two different lineages reaching the same
-        // joined feature are both useful if the feature later completes.
-        let mut slot: FxHashMap<InternedFeatureKey, u32> = FxHashMap::default();
-        for a in &current {
-            // Condition 2 is necessary, so candidate members come from
-            // the group's posting index over `a`'s mapping entries —
-            // members sharing nothing with `a` are never probed, unlike
-            // the pre-PR4 full `current × members` sweep.
-            a_entries.clear();
-            a_entries.extend_from_slice(ctx.interner.resolve(a.mapping));
-            for ei in 0..a_entries.len() {
-                let Some(cands) = ctx.group_postings[v].get(&a_entries[ei]) else {
-                    continue;
-                };
-                for &bi in cands {
-                    let b = ctx.seeds[bi as usize];
-                    // Theorem 5 / condition 4: disjoint LECSigns.
-                    if a.sign & b.sign != 0 {
+        let group_sign = dfs.groups[v].sign;
+        let mut next = std::mem::take(&mut dfs.levels[depth + 1]);
+        next.clear();
+        dfs.build += 1;
+        for &(sa, na) in current {
+            dfs.a.copy_from_slice(dfs.enc.states.get(sa));
+            // Theorem 5 / condition 4: disjoint LECSigns.
+            if dfs.a[SIGN] & group_sign != 0 {
+                continue;
+            }
+            dfs.probe += 1;
+            for qe in layout.edges(&dfs.a) {
+                let row = layout.edge(&dfs.a, qe);
+                for &(_, fb) in dfs.enc.postings.group_run(row, v as u32) {
+                    if std::mem::replace(&mut dfs.met[fb as usize], dfs.probe) == dfs.probe {
                         continue;
                     }
+                    let b = dfs.enc.states.get(dfs.enc.state_of[fb as usize]);
                     // Condition 1: not two originals of the same fragment.
-                    if a.fragments == b.fragments && a.fragments.count_ones() == 1 {
+                    if dfs.a[FRAG] == b[FRAG] && b[FRAG].count_ones() == 1 {
                         continue;
                     }
-                    // A pair sharing several entries surfaces once per
-                    // shared entry; process it at the first one only.
-                    if ei > 0 {
-                        let bmap = ctx.interner.resolve(b.mapping);
-                        let shares_earlier = a_entries[..ei].iter().any(|&(e, qe)| {
-                            bmap.binary_search_by_key(&(qe, e), |&(be, bqe)| (bqe, be))
-                                .is_ok()
-                        });
-                        if shares_earlier {
-                            continue;
-                        }
-                    }
-                    // Conditions 2/3/5, computed directly — an alloc-free
-                    // merge scan over two short interned mappings. (No
-                    // memo here: in the DFS almost every probed mapping
-                    // pair is new, so a memo is all insert churn and no
-                    // hits.)
-                    if !mappings_compatible(
-                        ctx.interner.resolve(a.mapping),
-                        ctx.interner.resolve(b.mapping),
-                        ctx.query_edges,
-                    ) {
+                    if !layout.agree(&dfs.a, b) {
                         continue;
                     }
-                    let joined_sign = a.sign | b.sign;
-                    if joined_sign == ctx.full_sign {
-                        ctx.complete_pairs.push((a.node, b.node));
+                    if dfs.a[SIGN] | b[SIGN] == dfs.full_sign {
+                        dfs.complete_pairs.push((na, fb));
                         continue;
                     }
-                    let joined_fragments = a.fragments | b.fragments;
-                    let joined_mapping = ctx.interner.union(a.mapping, b.mapping);
-                    match slot.entry((joined_fragments, joined_mapping, joined_sign)) {
-                        std::collections::hash_map::Entry::Occupied(o) => {
-                            let node = next[*o.get() as usize].node;
-                            ctx.node_parents[node as usize].push((a.node, b.node));
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            let node = ctx.node_parents.len() as u32;
-                            ctx.node_parents.push(vec![(a.node, b.node)]);
-                            slot.insert(next.len() as u32);
-                            next.push(Feat {
-                                fragments: joined_fragments,
-                                mapping: joined_mapping,
-                                sign: joined_sign,
-                                node,
-                            });
-                        }
+                    merge(&dfs.a, b, &mut dfs.joined);
+                    let (sid, _) = dfs.enc.states.insert(&dfs.joined);
+                    if dfs.slot.len() <= sid as usize {
+                        dfs.slot.resize(sid as usize + 1, (0, 0));
                     }
+                    let link = dfs.links.len() as u32;
+                    let (stamp, pos) = dfs.slot[sid as usize];
+                    let node = if stamp == dfs.build {
+                        next[pos as usize].1
+                    } else {
+                        let node = dfs.first_link.len() as u32;
+                        dfs.first_link.push(NO_LINK);
+                        dfs.slot[sid as usize] = (dfs.build, next.len() as u32);
+                        next.push((sid, node));
+                        node
+                    };
+                    dfs.links.push((na, fb, dfs.first_link[node as usize]));
+                    dfs.first_link[node as usize] = link;
                 }
             }
         }
-        if !next.is_empty() {
+        let joined_any = !next.is_empty();
+        dfs.levels[depth + 1] = next;
+        if joined_any {
             visited.push(v);
-            com_lecf_join(ctx, visited, next, alive);
+            com_lecf_join(dfs, visited, depth + 1, alive);
             visited.pop();
         }
     }

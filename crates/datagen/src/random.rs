@@ -1,6 +1,8 @@
 //! Seeded random graphs and queries for property tests, fuzzing and
 //! micro-benchmarks.
 
+use std::collections::HashSet;
+
 use gstored_rdf::{RdfGraph, Term, Triple};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,26 +43,34 @@ pub fn predicate_iri(i: usize) -> String {
 
 /// Generate a random Erdős–Rényi-style labeled digraph.
 pub fn random_graph(config: &RandomGraphConfig) -> RdfGraph {
+    let mut g = RdfGraph::from_triples(random_triples(config));
+    g.finalize();
+    g
+}
+
+/// The triples of [`random_graph`], in generation order. A re-rolled
+/// duplicate is detected on its `(subject, predicate, object)` indexes,
+/// which name the triple uniquely, so the check is a hash probe instead
+/// of a scan of every triple so far.
+fn random_triples(config: &RandomGraphConfig) -> Vec<Triple> {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut triples = Vec::with_capacity(config.edges);
+    let mut seen = HashSet::with_capacity(config.edges);
     let mut attempts = 0;
     while triples.len() < config.edges && attempts < config.edges * 10 {
         attempts += 1;
         let s = rng.gen_range(0..config.vertices);
         let o = rng.gen_range(0..config.vertices);
         let p = rng.gen_range(0..config.predicates);
-        let t = Triple::new(
-            Term::iri(vertex_iri(s)),
-            Term::iri(predicate_iri(p)),
-            Term::iri(vertex_iri(o)),
-        );
-        if !triples.contains(&t) {
-            triples.push(t);
+        if seen.insert((s, p, o)) {
+            triples.push(Triple::new(
+                Term::iri(vertex_iri(s)),
+                Term::iri(predicate_iri(p)),
+                Term::iri(vertex_iri(o)),
+            ));
         }
     }
-    let mut g = RdfGraph::from_triples(triples);
-    g.finalize();
-    g
+    triples
 }
 
 /// Generate a random connected BGP query over the generator's predicate
@@ -107,6 +117,63 @@ mod tests {
         assert_eq!(a.edge_count(), b.edge_count());
         assert_eq!(a.edge_count(), c.edges);
         assert!(a.vertex_count() <= c.vertices);
+    }
+
+    /// The generator as it was before the hash-set dedup: every new
+    /// triple checked against a `Vec` of all earlier ones.
+    fn random_triples_by_scan(config: &RandomGraphConfig) -> Vec<Triple> {
+        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let mut triples = Vec::with_capacity(config.edges);
+        let mut attempts = 0;
+        while triples.len() < config.edges && attempts < config.edges * 10 {
+            attempts += 1;
+            let s = rng.gen_range(0..config.vertices);
+            let o = rng.gen_range(0..config.vertices);
+            let p = rng.gen_range(0..config.predicates);
+            let t = Triple::new(
+                Term::iri(vertex_iri(s)),
+                Term::iri(predicate_iri(p)),
+                Term::iri(vertex_iri(o)),
+            );
+            if !triples.contains(&t) {
+                triples.push(t);
+            }
+        }
+        triples
+    }
+
+    #[test]
+    fn hash_dedup_keeps_the_scan_dedups_triple_sequence() {
+        // Dense enough that many draws are duplicates, and one config
+        // that runs out of attempts before reaching its edge count.
+        let configs = [
+            RandomGraphConfig {
+                vertices: 12,
+                edges: 300,
+                predicates: 2,
+                seed: 0,
+            },
+            RandomGraphConfig {
+                vertices: 5,
+                edges: 80,
+                predicates: 3,
+                seed: 0,
+            },
+            RandomGraphConfig::default(),
+        ];
+        for config in configs {
+            for seed in 0..8 {
+                let config = RandomGraphConfig {
+                    seed,
+                    ..config.clone()
+                };
+                assert_eq!(
+                    random_triples(&config),
+                    random_triples_by_scan(&config),
+                    "{config:?}"
+                );
+            }
+        }
     }
 
     #[test]
